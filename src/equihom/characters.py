@@ -3,6 +3,7 @@ the induced characters used by the closed-form pipelines."""
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 from fractions import Fraction
@@ -10,7 +11,7 @@ from functools import cache
 from math import factorial
 
 from .partitions import Partition, maj_count, partitions_of
-from .permutations import centralizer_order
+from .permutations import centralizer_order, is_prime
 from .symfunc import SymmetricFunction
 
 TABLE_VERSION = 1
@@ -190,10 +191,24 @@ def _save_table(path, n, table):
     }
     try:
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(data, fh)
+        write_atomic(path, json.dumps(data).encode("utf-8"))
     except OSError:
         pass
+
+
+def write_atomic(path: str, data: bytes):
+    """Write a file so that a reader sees either its old or its new content,
+    never a partial one: write a temporary file in the same directory, then
+    rename it into place."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def irreducible_class_function(lam) -> ClassFunction:
@@ -272,17 +287,6 @@ def cyclic_induced_character(m: int, n: int) -> ClassFunction:
     return ClassFunction(n, vals)
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def normalizer_character(p: int) -> ClassFunction:
     """1 induced from the normalizer of a Sylow p-subgroup of S_p, evaluated
     class by class from the concrete group of affine maps x -> ax + b mod p.
@@ -290,7 +294,7 @@ def normalizer_character(p: int) -> ClassFunction:
     The induced value on a class C is |C_{S_p}(g)| / |N_p| times the number of
     elements of N_p lying in C.
     """
-    if not _is_prime(p):
+    if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if p > 11:
         raise ValueError("normalizer_character is brute force; p <= 11 only")

@@ -2,8 +2,9 @@
 
 Subcommands: build, homology, equivariant, formula, verify-table,
 verify-conjecture, cross-check, dump.  Exit codes: 0 success, 1 verification
-mismatch, 2 usage error.  Output is deterministic: fixed orderings, no
-timestamps, and --threads never changes results (execution is sequential).
+mismatch, 2 usage error, 3 internal error (a failed invariant check).
+Output is deterministic: fixed orderings, no timestamps, and --threads never
+changes results (execution is sequential).
 """
 
 from __future__ import annotations
@@ -15,15 +16,11 @@ import sys
 
 from . import characters
 from .complexes import (
-    CyclicGroupLabel,
-    SimplicialComplex,
-    attach_matching_action,
-    attach_pcycle_action,
-    attach_quillen_action,
+    KINDS,
+    load_complex,
     matching_complex,
     pcycle_complex,
     quillen_complex,
-    subgroup_from_generators,
 )
 from .formulas import (
     column_added_plethysm,
@@ -55,64 +52,57 @@ from .symfunc import (
 )
 
 
-COMPLEX_CACHE_VERSION = 1
+COMPLEX_CACHE_VERSION = 2
 _cache_dir: str | None = None
 
 
-def _label_decoder(kind: str, p: int):
-    if kind == "pcycle":
-        return lambda lab: CyclicGroupLabel(tuple(lab["cycle"]))
-    if kind == "quillen":
-        return lambda lab: subgroup_from_generators(lab["generators"], p)
-    return lambda lab: tuple(lab)
+def _digest_line(payload: bytes) -> bytes:
+    """First line of a complex cache entry whose remainder is `payload`."""
+    # imported here: hashlib loads OpenSSL (about 3.6 MB of RSS), which only
+    # runs that use a cache directory need
+    import hashlib
+
+    return b"sha256 " + hashlib.sha256(payload).hexdigest().encode()
 
 
-def _build_fresh(kind: str, p: int, n: int, allow_large: bool):
-    if kind == "matching":
-        return matching_complex(p, n)
-    if kind == "pcycle":
-        return pcycle_complex(p, n)
-    if kind == "quillen":
-        return quillen_complex(p, n, allow_large=allow_large)
-    raise ValueError(f"unknown complex kind {kind!r}")
+def _read_cached_complex(path: str, kind: str, p: int, n: int):
+    """The complex in a cache entry, or None when the entry is missing or its
+    payload does not match the sha256 in its first line."""
+    try:
+        with open(path, "rb") as fh:
+            header, _, payload = fh.read().partition(b"\n")
+    except OSError:
+        return None
+    if header != _digest_line(payload):
+        return None
+    try:
+        return load_complex(kind, p, n, payload.decode("utf-8"))
+    except (ValueError, KeyError, TypeError):
+        return None
 
 
 def _build_complex(kind: str, p: int, n: int, allow_large: bool):
     """Build a complex, going through the facet-list disk cache when a cache
-    directory is configured.  A corrupt cache entry is rebuilt in place."""
-    if not _cache_dir:
-        return _build_fresh(kind, p, n, allow_large)
-    path = os.path.join(
-        _cache_dir, f"{kind}_p{p}_n{n}_v{COMPLEX_CACHE_VERSION}.complex"
-    )
-    if os.path.exists(path):
-        try:
-            with open(path, encoding="utf-8") as fh:
-                cx = SimplicialComplex.from_text(
-                    fh.read(),
-                    name=f"{kind}(p={p},n={n})",
-                    label_decoder=_label_decoder(kind, p),
-                )
-            attach = {
-                "matching": attach_matching_action,
-                "pcycle": attach_pcycle_action,
-                "quillen": attach_quillen_action,
-            }[kind]
-            attach(cx, n)
-            if kind == "pcycle":
-                cx.base = matching_complex(p, n)
-                cx.deflation = tuple(
-                    cx.base.vertex_index[lab.support] for lab in cx.vertex_labels
-                )
+    directory is configured.  An entry is a `sha256 <hex>` line followed by
+    the complex's to_text(); a corrupt or truncated entry is rebuilt."""
+    path = None
+    if _cache_dir:
+        path = os.path.join(
+            _cache_dir, f"{kind}_p{p}_n{n}_v{COMPLEX_CACHE_VERSION}.complex"
+        )
+        cx = _read_cached_complex(path, kind, p, n)
+        if cx is not None:
             return cx
-        except (ValueError, KeyError, TypeError, json.JSONDecodeError):
-            pass  # corrupt entry: rebuild below
-    cx = _build_fresh(kind, p, n, allow_large)
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(cx.to_text())
-    except OSError:
-        pass
+    spec = KINDS[kind]
+    # looked up at call time, so that a wrapped builder is the one called
+    build = globals()[spec.builder]
+    cx = build(p, n, allow_large=allow_large) if spec.size_guarded else build(p, n)
+    if path:
+        payload = cx.to_text().encode("utf-8")
+        try:
+            characters.write_atomic(path, _digest_line(payload) + b"\n" + payload)
+        except OSError:
+            pass
     return cx
 
 
@@ -324,12 +314,12 @@ def make_parser() -> argparse.ArgumentParser:
     parser.add_argument("--threads", type=int, default=1,
                         help="accepted for compatibility; results never depend on it")
     parser.add_argument("--cache-dir", default=os.environ.get("EQUIHOM_CACHE_DIR"),
-                        help="directory for the character-table cache")
+                        help="directory for the disk caches of built complexes"
+                        " and character tables")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def complex_args(sp):
-        sp.add_argument("--complex", required=True,
-                        choices=["matching", "pcycle", "quillen"])
+        sp.add_argument("--complex", required=True, choices=list(KINDS))
         sp.add_argument("--p", type=int, required=True)
         sp.add_argument("--n", type=int, required=True)
         sp.add_argument("--allow-large", action="store_true")
@@ -388,11 +378,10 @@ def run(argv=None, out=None) -> int:
     if args.threads < 1:
         parser.error("--threads must be positive")
     global _cache_dir
-    _cache_dir = None
-    if args.cache_dir:
-        os.makedirs(args.cache_dir, exist_ok=True)
-        _cache_dir = args.cache_dir
-        characters.set_cache_dir(args.cache_dir)
+    _cache_dir = args.cache_dir or None
+    if _cache_dir:
+        os.makedirs(_cache_dir, exist_ok=True)
+    characters.set_cache_dir(_cache_dir)
     handlers = {
         "build": _cmd_build,
         "dump": _cmd_dump,
@@ -405,9 +394,12 @@ def run(argv=None, out=None) -> int:
     }
     try:
         return handlers[args.command](args, out)
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (ArithmeticError, KeyError) as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 def main() -> None:

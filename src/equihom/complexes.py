@@ -6,6 +6,7 @@ complexes of symmetric groups, order complexes, links.
 from __future__ import annotations
 
 import json
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
 
@@ -13,6 +14,7 @@ from .permutations import (
     compose,
     conjugate_perm,
     identity,
+    is_prime,
     prime_order_elements,
 )
 
@@ -221,7 +223,7 @@ def _faces_from_masks(masks: list[int]) -> list[tuple]:
     return faces
 
 
-def attach_matching_action(cx: SimplicialComplex, n: int):
+def _attach_matching(cx: SimplicialComplex, p: int, n: int):
     cx.action = SnAction(
         n, lambda sigma: lambda pset: tuple(sorted(sigma[x] for x in pset))
     )
@@ -238,7 +240,7 @@ def matching_complex(p: int, n: int) -> SimplicialComplex:
     cx = SimplicialComplex(
         vertices, _faces_from_masks(masks), name=f"matching(p={p},n={n})"
     )
-    attach_matching_action(cx, n)
+    _attach_matching(cx, p, n)
     return cx
 
 
@@ -290,7 +292,7 @@ def pcycle_complex(p: int, n: int) -> SimplicialComplex:
     """Vertices are the order-p cyclic subgroups of S_n generated by a
     p-cycle; faces are sets of them with pairwise disjoint supports.  This is
     the (p-2)!-fold inflation of the matching complex, with subgroup labels."""
-    if not _is_prime(p):
+    if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     labels = []
     for support in combinations(range(n), p):
@@ -303,14 +305,11 @@ def pcycle_complex(p: int, n: int) -> SimplicialComplex:
     cx = SimplicialComplex(
         labels, _faces_from_masks(masks), name=f"pcycle(p={p},n={n})"
     )
-    attach_pcycle_action(cx, n)
-    base = matching_complex(p, n)
-    cx.base = base
-    cx.deflation = tuple(base.vertex_index[lab.support] for lab in labels)
+    _attach_pcycle(cx, p, n)
     return cx
 
 
-def attach_pcycle_action(cx: SimplicialComplex, n: int):
+def _attach_pcycle(cx: SimplicialComplex, p: int, n: int):
     def relabel(sigma):
         def apply(lab):
             moved = tuple(sigma[x] for x in lab.generator)
@@ -319,17 +318,10 @@ def attach_pcycle_action(cx: SimplicialComplex, n: int):
         return apply
 
     cx.action = SnAction(n, relabel)
-
-
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
+    cx.base = matching_complex(p, n)
+    cx.deflation = tuple(
+        cx.base.vertex_index[lab.support] for lab in cx.vertex_labels
+    )
 
 
 _QUILLEN_DEFAULT_LIMIT = {2: 6, 3: 9, 5: 7}
@@ -417,7 +409,7 @@ def subgroup_from_generators(generators, p: int) -> SubgroupLabel:
 def quillen_complex(p: int, n: int, allow_large: bool = False) -> SimplicialComplex:
     """Order complex of the poset of nontrivial elementary abelian
     p-subgroups of S_n, with the conjugation action."""
-    if not _is_prime(p):
+    if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     limit = _QUILLEN_DEFAULT_LIMIT.get(p, p + 2)
     if n > limit and not allow_large:
@@ -432,11 +424,11 @@ def quillen_complex(p: int, n: int, allow_large: bool = False) -> SimplicialComp
         and set(a.elements) <= set(b.elements),
     )
     cx = order_complex(poset, name=f"quillen(p={p},n={n})")
-    attach_quillen_action(cx, n)
+    _attach_quillen(cx, p, n)
     return cx
 
 
-def attach_quillen_action(cx: SimplicialComplex, n: int):
+def _attach_quillen(cx: SimplicialComplex, p: int, n: int):
     def relabel(sigma):
         def apply(lab):
             elements = tuple(
@@ -448,6 +440,54 @@ def attach_quillen_action(cx: SimplicialComplex, n: int):
         return apply
 
     cx.action = SnAction(n, relabel)
+
+
+@dataclass(frozen=True)
+class ComplexKind:
+    """What the builder of one kind of complex and its cache share.
+
+    The builder ends in `attach`, and so does `load_complex`: a complex read
+    back from its to_text() form gets the same action (and, for p-cycle
+    complexes, the same base and deflation) as a fresh build.  `builder` is
+    the builder's name rather than the function, so that each caller looks
+    the builder up in its own namespace when it calls it.
+    """
+
+    builder: str
+    decode_label: Callable  # (JSON vertex label from to_text, p) -> label
+    attach: Callable  # (cx, p, n) -> None
+    size_guarded: bool = False  # the builder refuses large n without allow_large
+
+
+KINDS = {
+    "matching": ComplexKind(
+        "matching_complex", lambda lab, p: tuple(lab), _attach_matching
+    ),
+    "pcycle": ComplexKind(
+        "pcycle_complex",
+        lambda lab, p: CyclicGroupLabel(tuple(lab["cycle"])),
+        _attach_pcycle,
+    ),
+    "quillen": ComplexKind(
+        "quillen_complex",
+        lambda lab, p: subgroup_from_generators(lab["generators"], p),
+        _attach_quillen,
+        size_guarded=True,
+    ),
+}
+
+
+def load_complex(kind: str, p: int, n: int, text: str) -> SimplicialComplex:
+    """The complex of `kind` written as `text` by to_text(), with the state
+    its builder attaches."""
+    spec = KINDS[kind]
+    cx = SimplicialComplex.from_text(
+        text,
+        name=f"{kind}(p={p},n={n})",
+        label_decoder=lambda lab: spec.decode_label(lab, p),
+    )
+    spec.attach(cx, p, n)
+    return cx
 
 
 class Poset:

@@ -10,6 +10,7 @@ from fractions import Fraction
 from math import gcd
 
 from .partitions import Partition, maj_count, partitions_of
+from .permutations import is_prime
 from .symfunc import (
     SymmetricFunction,
     add_column,
@@ -25,17 +26,6 @@ def _totient(n: int) -> int:
     return sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def sylow_permutation_character(p: int) -> SymmetricFunction:
     """Frobenius characteristic of the S_p permutation action on its Sylow
     p-subgroups: the normalized cycle index of the affine normalizer,
@@ -43,7 +33,7 @@ def sylow_permutation_character(p: int) -> SymmetricFunction:
         (1/(p(p-1))) [ p_1^p + (p-1) p_p
                        + p p_1 sum_{d | p-1, d > 1} phi(d) p_d^((p-1)/d) ].
     """
-    if not _is_prime(p):
+    if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     order = p * (p - 1)
     pterms: dict = {Partition([1] * p): Fraction(1, order)}
@@ -61,7 +51,7 @@ def sylow_character_tableau_form(p: int) -> SymmetricFunction:
     """Same character through tableau counts: the multiplicity of s_lam is
     the number of standard tableaux of shape lam with major index divisible
     by p-1 minus the number with major index congruent to 1 mod p."""
-    if not _is_prime(p):
+    if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     terms = {}
     for lam in partitions_of(p):

@@ -37,10 +37,6 @@ def boundary_matrix(cx: SimplicialComplex, i: int) -> SparseMatrix:
     return mat
 
 
-def boundary_matrices(cx: SimplicialComplex) -> dict[int, SparseMatrix]:
-    return {i: boundary_matrix(cx, i) for i in range(0, cx.dim + 1)}
-
-
 def betti(cx: SimplicialComplex) -> list[int]:
     """Reduced Betti numbers, degrees -1 through dim."""
     ranks = {i: eliminate(boundary_matrix(cx, i)).rank for i in range(cx.dim + 1)}
@@ -81,6 +77,16 @@ def chain_character(p: int, n: int, r: int) -> SymmetricFunction:
     return multiply(plethysm(from_e(r), from_h(p)), from_h(n - r * p))
 
 
+def _chain_trace(cx: SimplicialComplex, perm: tuple, faces) -> int:
+    """Trace of a vertex permutation on the chain space spanned by faces."""
+    total = 0
+    for f in faces:
+        g, sign = cx.face_image(perm, f)
+        if g == f:
+            total += sign
+    return total
+
+
 def chain_class_function(cx: SimplicialComplex, i: int) -> ClassFunction:
     """Trace of each cycle-type representative on the degree-i chain space."""
     action = cx.action
@@ -91,12 +97,7 @@ def chain_class_function(cx: SimplicialComplex, i: int) -> ClassFunction:
     for mu in partitions_of(action.n):
         sigma = representative(mu)
         perm = action.vertex_permutation(cx, sigma)
-        total = 0
-        for f in faces:
-            g, sign = cx.face_image(perm, f)
-            if g == f:
-                total += sign
-        vals[mu] = total
+        vals[mu] = _chain_trace(cx, perm, faces)
     return ClassFunction(action.n, vals)
 
 
@@ -193,16 +194,11 @@ def _validate_action(cx: SimplicialComplex):
                 raise ValueError(f"action is not simplicial: {f} -> {g}")
 
 
-def equivariant_decomposition(
-    cx: SimplicialComplex, action=None, validate: bool = True
-) -> EquivariantDecomposition:
+def equivariant_decomposition(cx: SimplicialComplex) -> EquivariantDecomposition:
     """Specht-module multiplicities on every reduced homology group."""
-    if action is not None:
-        cx.action = action
     if cx.action is None:
         raise ValueError("complex has no attached action")
-    if validate:
-        _validate_action(cx)
+    _validate_action(cx)
     n = cx.action.n
     elims = {}
     for i in range(0, cx.dim + 1):
@@ -226,14 +222,10 @@ def equivariant_decomposition(
     for mu in classes:
         sigma = representative(mu)
         perm = cx.action.vertex_permutation(cx, sigma)
-        chain_tr = {}
-        for i, faces in face_lists.items():
-            total = 0
-            for f in faces:
-                g, sign = cx.face_image(perm, f)
-                if g == f:
-                    total += sign
-            chain_tr[i] = Fraction(total)
+        chain_tr = {
+            i: Fraction(_chain_trace(cx, perm, faces))
+            for i, faces in face_lists.items()
+        }
         image_tr = {
             i: _image_trace(elims[i], face_lists[i], face_indexes[i], perm, cx)
             for i in elims
@@ -270,21 +262,6 @@ def equivariant_decomposition(
             )
         degrees[i] = mults
     return EquivariantDecomposition(cx.name, n, degrees, betti_numbers)
-
-
-def homology_class_function(cx: SimplicialComplex, i: int) -> ClassFunction:
-    """Character of the S_n-action on the degree-i reduced homology."""
-    decomp = equivariant_decomposition(cx)
-    vals = {mu: Fraction(0) for mu in partitions_of(cx.action.n)}
-    table = character_table(cx.action.n)
-    for lam, m in decomp.degrees.get(i, {}).items():
-        for mu in vals:
-            vals[mu] += m * table[lam][mu]
-    return ClassFunction(cx.action.n, vals)
-
-
-def homology_characteristic(cx: SimplicialComplex, i: int) -> SymmetricFunction:
-    return equivariant_decomposition(cx).characteristic(i)
 
 
 def euler_characteristics_match(cx: SimplicialComplex) -> bool:

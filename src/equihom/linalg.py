@@ -26,27 +26,8 @@ class SparseMatrix:
             {} for _ in range(nrows)
         ]
 
-    def set(self, i, j, v):
-        if v:
-            self.rows[i][j] = v
-        else:
-            self.rows[i].pop(j, None)
-
-    def entry(self, i, j):
-        return self.rows[i].get(j, 0)
-
-    def nnz(self):
-        return sum(len(r) for r in self.rows)
-
     def column_vector(self, j) -> dict:
         return {i: r[j] for i, r in enumerate(self.rows) if j in r}
-
-    def transpose(self):
-        out = SparseMatrix(self.ncols, self.nrows)
-        for i, row in enumerate(self.rows):
-            for j, v in row.items():
-                out.rows[j][i] = v
-        return out
 
     def mul_vector(self, vec: dict) -> dict:
         """Matrix times sparse column vector {col: value}."""
@@ -89,18 +70,6 @@ class Elimination:
 
     def pivot_columns(self) -> list[int]:
         return [c for _, c in self.pivots]
-
-    def column_coefficient(self, pivot_index: int, j: int) -> Fraction:
-        """Coefficient of pivot column c_k when column j is expanded over the
-        pivot columns of the original matrix."""
-        if not self.full:
-            raise ValueError("column relations need a full (Gauss-Jordan) run")
-        r, c = self.pivots[pivot_index]
-        row = self.rows[r]
-        val = row.get(j)
-        if not val:
-            return Fraction(0)
-        return Fraction(val, row[c])
 
     def nullspace(self) -> list[dict]:
         """Sparse rational kernel vectors, one per non-pivot column."""
@@ -200,10 +169,6 @@ def eliminate(matrix: SparseMatrix, full: bool = False) -> Elimination:
             if not row:
                 deactivate(i)
     return Elimination(matrix.nrows, matrix.ncols, pivots, rows, full)
-
-
-def rank(matrix: SparseMatrix) -> int:
-    return eliminate(matrix, full=False).rank
 
 
 class RowReducer:

@@ -17,11 +17,15 @@ def compose(a, b):
     return tuple(a[x] for x in b)
 
 
-def inverse(a):
-    inv = [0] * len(a)
-    for i, x in enumerate(a):
-        inv[x] = i
-    return tuple(inv)
+def is_prime(p: int) -> bool:
+    if p < 2:
+        return False
+    d = 2
+    while d * d <= p:
+        if p % d == 0:
+            return False
+        d += 1
+    return True
 
 
 def cycle_type(perm) -> Partition:

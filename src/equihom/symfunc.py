@@ -63,28 +63,6 @@ def horizontal_strips(lam: tuple, k: int):
     return out
 
 
-def vertical_strips(lam: tuple, k: int):
-    """All mu with mu/lam a vertical strip of k boxes (Pieri for e_k)."""
-    l = len(lam)
-    out = []
-
-    def rec(i, remaining, prefix):
-        if i == l:
-            # rows past the old length can only be new rows of size 1
-            out.append(prefix + (1,) * remaining)
-            return
-        for add in (1, 0):
-            if remaining - add < 0:
-                continue
-            mu_i = lam[i] + add
-            if prefix and mu_i > prefix[-1]:
-                continue
-            rec(i + 1, remaining - add, prefix + (mu_i,))
-
-    rec(0, k, ())
-    return out
-
-
 @cache
 def _power_to_schur(mu: Partition) -> dict:
     """Schur expansion of the power-sum product p_mu; values are the

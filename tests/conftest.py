@@ -1,6 +1,6 @@
 import pytest
 
-from equihom.complexes import matching_complex, pcycle_complex, quillen_complex
+from equihom import complexes
 from equihom.homology import equivariant_decomposition
 
 
@@ -13,14 +13,7 @@ def decomposition_cache():
     def get(kind, p, n):
         key = (kind, p, n)
         if key not in cache:
-            if kind == "matching":
-                cx = matching_complex(p, n)
-            elif kind == "pcycle":
-                cx = pcycle_complex(p, n)
-            elif kind == "quillen":
-                cx = quillen_complex(p, n)
-            else:
-                raise ValueError(kind)
+            cx = getattr(complexes, complexes.KINDS[kind].builder)(p, n)
             cache[key] = (cx, equivariant_decomposition(cx))
         return cache[key]
 

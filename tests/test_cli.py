@@ -4,9 +4,10 @@ import os
 
 import pytest
 
-from equihom import characters
+from equihom import characters, cli
 from equihom.cli import make_parser, run
-from equihom.complexes import SimplicialComplex, matching_complex
+from equihom.complexes import KINDS, SimplicialComplex, matching_complex, pcycle_complex
+from equihom.homology import equivariant_decomposition
 
 
 def invoke(argv):
@@ -131,22 +132,75 @@ def test_determinism_and_thread_invariance():
     assert again == base
 
 
-def test_cache_dir_round_trip(tmp_path):
-    argv = ["--cache-dir", str(tmp_path), "equivariant", "--complex", "quillen",
-            "--p", "3", "--n", "5", "--format", "json"]
+@pytest.mark.parametrize(
+    "kind, p, n", [("matching", 3, 7), ("pcycle", 5, 7), ("quillen", 3, 5)]
+)
+def test_cache_dir_round_trip(tmp_path, monkeypatch, kind, p, n):
+    argv = ["--cache-dir", str(tmp_path), "equivariant", "--complex", kind,
+            "--p", str(p), "--n", str(n), "--format", "json"]
     code, first = invoke(argv)
     assert code == 0
-    names = os.listdir(tmp_path)
-    assert any(n.startswith("quillen") for n in names)
+    (entry,) = [name for name in os.listdir(tmp_path) if name.startswith(kind)]
+    # the second run must read the entry, not build
+    builder = KINDS[kind].builder
+    real_builder = getattr(cli, builder)
+    monkeypatch.setattr(cli, builder, lambda *a, **k: pytest.fail("entry not read"))
+    loaded = []
+    monkeypatch.setattr(
+        cli, "equivariant_decomposition",
+        lambda cx: loaded.append(cx) or equivariant_decomposition(cx),
+    )
     code, second = invoke(argv)
     assert code == 0 and second == first
+    if kind == "pcycle":
+        assert loaded[0].deflation == pcycle_complex(p, n).deflation
     # corrupt complex cache entries are rebuilt
-    for n in names:
-        if n.startswith("quillen"):
-            (tmp_path / n).write_text("garbage")
+    monkeypatch.setattr(cli, builder, real_builder)
+    (tmp_path / entry).write_text("garbage")
     code, third = invoke(argv)
     assert code == 0 and third == first
-    characters.set_cache_dir(None)
+
+
+def test_truncated_cache_entry_is_rebuilt(tmp_path):
+    path = tmp_path / "matching_p3_n7_v2.complex"
+
+    def truncate():
+        # keep the hash and shape lines, half the facets and the label line
+        lines = path.read_text().split("\n")
+        facets = lines[2:-2]
+        path.write_text("\n".join(lines[:2] + facets[: len(facets) // 2] + lines[-2:]))
+
+    for command, expected in (("homology", "b~_1 = 36"), ("equivariant", "H~_1: betti 36")):
+        argv = ["--cache-dir", str(tmp_path), command, "--complex", "matching",
+                "--p", "3", "--n", "7"]
+        assert invoke(argv)[0] == 0
+        truncate()
+        code, out = invoke(argv)
+        assert code == 0 and expected in out
+
+
+def test_cache_dir_does_not_leak_into_the_next_run(tmp_path, monkeypatch):
+    monkeypatch.delenv("EQUIHOM_CACHE_DIR", raising=False)
+    monkeypatch.setattr(characters, "_memory_tables", {})
+    code, _ = invoke(["--cache-dir", str(tmp_path), "equivariant", "--complex",
+                      "matching", "--p", "3", "--n", "4"])
+    assert code == 0 and "character_table_4.json" in os.listdir(tmp_path)
+    code, _ = invoke(["equivariant", "--complex", "matching", "--p", "3", "--n", "5"])
+    assert code == 0 and "character_table_5.json" not in os.listdir(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "error", [ArithmeticError("multiplicity 1/2"), KeyError("x")],
+    ids=["ArithmeticError", "KeyError"],
+)
+def test_internal_errors_exit_3(monkeypatch, capsys, error):
+    def broken(cx):
+        raise error
+
+    monkeypatch.setattr(cli, "equivariant_decomposition", broken)
+    code, out = invoke(["equivariant", "--complex", "matching", "--p", "3", "--n", "4"])
+    assert code == 3 and out == ""
+    assert capsys.readouterr().err.startswith("internal error: ")
 
 
 def test_parser_prog_name():
