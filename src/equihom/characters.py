@@ -10,7 +10,7 @@ from fractions import Fraction
 from functools import cache
 from math import factorial
 
-from .partitions import Partition, maj_count, partitions_of
+from .partitions import Partition, hook_dimension, maj_count, partitions_of
 from .permutations import centralizer_order, is_prime
 from .symfunc import SymmetricFunction
 
@@ -133,10 +133,12 @@ _memory_tables: dict = {}
 _default_cache_dir: str | None = None
 
 
-def set_cache_dir(path: str | None):
-    """Default disk-cache directory for character tables."""
+def set_cache_dir(path: str | None) -> str | None:
+    """Set the default disk-cache directory for character tables; returns
+    the previous one."""
     global _default_cache_dir
-    _default_cache_dir = path
+    previous, _default_cache_dir = _default_cache_dir, path
+    return previous
 
 
 def character_table(n: int, cache_dir: str | None = None) -> dict:
@@ -162,19 +164,47 @@ def character_table(n: int, cache_dir: str | None = None) -> dict:
 
 
 def _load_table(path, n):
+    """The table cached at path, or None when the file is missing or does
+    not hold a valid character table of S_n."""
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
         if data.get("version") != TABLE_VERSION or data.get("n") != n:
             return None
-        return {
+        table = {
             Partition(row["lam"]): {
-                Partition(e["mu"]): int(e["chi"]) for e in row["values"]
+                Partition(e["mu"]): e["chi"] for e in row["values"]
             }
             for row in data["table"]
         }
     except (OSError, ValueError, KeyError, TypeError):
         return None
+    return table if _is_character_table(table, n) else None
+
+
+def _is_character_table(table: dict, n: int) -> bool:
+    """Cheap checks that table is the character table of S_n: one integer
+    row and column per partition, chi^lam(1^n) = hook_dimension(lam), every
+    row of norm 1, and the rows summed with weights chi^lam(1^n) give the
+    regular character (n! at 1^n, 0 elsewhere)."""
+    parts = set(partitions_of(n))
+    if set(table) != parts:
+        return False
+    order = factorial(n)
+    sizes = {mu: order // centralizer_order(mu) for mu in parts}
+    identity = Partition([1] * n)
+    regular = dict.fromkeys(parts, 0)
+    for lam, row in table.items():
+        if set(row) != parts or any(type(chi) is not int for chi in row.values()):
+            return False
+        dim = row[identity]
+        if dim != hook_dimension(lam):
+            return False
+        if sum(chi * chi * sizes[mu] for mu, chi in row.items()) != order:
+            return False
+        for mu, chi in row.items():
+            regular[mu] += dim * chi
+    return all(v == (order if mu == identity else 0) for mu, v in regular.items())
 
 
 def _save_table(path, n, table):

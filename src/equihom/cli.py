@@ -381,7 +381,7 @@ def run(argv=None, out=None) -> int:
     _cache_dir = args.cache_dir or None
     if _cache_dir:
         os.makedirs(_cache_dir, exist_ok=True)
-    characters.set_cache_dir(_cache_dir)
+    previous_table_dir = characters.set_cache_dir(_cache_dir)
     handlers = {
         "build": _cmd_build,
         "dump": _cmd_dump,
@@ -400,6 +400,8 @@ def run(argv=None, out=None) -> int:
     except (ArithmeticError, KeyError) as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+    finally:
+        characters.set_cache_dir(previous_table_dir)
 
 
 def main() -> None:

@@ -112,6 +112,8 @@ def matching_boundary_entry(m: int, p: int, i: int) -> SymmetricFunction:
 def conjectured_top_character(k: int, p: int) -> SymmetricFunction:
     """(e_k[h_p] h_1) restricted to Schur terms with exactly k+1 parts: the
     predicted top homology character of the matching complex on kp+1 points."""
+    if p < 2:
+        raise ValueError("p must be at least 2")
     return restrict_length(
         multiply(plethysm(from_e(k), from_h(p)), from_h(1)), k + 1
     )
@@ -153,6 +155,8 @@ def odd_parts_top_character(k: int) -> SymmetricFunction:
 def euler_poincare_character(p: int, n: int) -> SymmetricFunction:
     """Signed sum of the chain characteristics of the p-uniform matching
     complex on n points: sum_r (-1)^r e_r[h_p] h_{n-pr}.  Virtual (signed)."""
+    if p < 2:
+        raise ValueError("p must be at least 2")
     total = SymmetricFunction.zero(n)
     for r in range(n // p + 1):
         term = multiply(plethysm(from_e(r), from_h(p)), from_h(n - p * r))

@@ -180,3 +180,39 @@ def test_character_table_disk_cache(tmp_path):
     rebuilt = character_table(4, cache_dir=str(tmp_path))
     assert rebuilt == table
     characters._memory_tables.pop(4, None)
+
+
+def _drop_row(data):
+    del data["table"][-1]
+
+
+def _float_entry(data):
+    data["table"][0]["values"][0]["chi"] = float(data["table"][0]["values"][0]["chi"])
+
+
+def _wrong_dimension(data):
+    row = data["table"][1]["values"]
+    next(e for e in row if e["mu"] == [1] * 5)["chi"] += 5
+
+
+def _negated_entry(data):
+    # keeps the identity column and every row norm; only the regular
+    # character identity sees it
+    row = data["table"][1]["values"]
+    next(e for e in row if e["mu"] != [1] * 5 and e["chi"])["chi"] *= -1
+
+
+@pytest.mark.parametrize(
+    "tamper", [_drop_row, _float_entry, _wrong_dimension, _negated_entry]
+)
+def test_invalid_cached_table_is_recomputed(tmp_path, monkeypatch, tamper):
+    monkeypatch.setattr(characters, "_memory_tables", {})
+    table = character_table(5, cache_dir=str(tmp_path))
+    path = tmp_path / "character_table_5.json"
+    good = path.read_text()
+    data = json.loads(good)
+    tamper(data)
+    path.write_text(json.dumps(data))
+    monkeypatch.setattr(characters, "_memory_tables", {})
+    assert character_table(5, cache_dir=str(tmp_path)) == table
+    assert path.read_text() == good

@@ -187,6 +187,44 @@ def test_cache_dir_does_not_leak_into_the_next_run(tmp_path, monkeypatch):
     assert code == 0 and "character_table_4.json" in os.listdir(tmp_path)
     code, _ = invoke(["equivariant", "--complex", "matching", "--p", "3", "--n", "5"])
     assert code == 0 and "character_table_5.json" not in os.listdir(tmp_path)
+    # nor into library calls made after run() returns
+    invoke(["--cache-dir", str(tmp_path), "formula", "fp", "--p", "3"])
+    characters.character_table(6)
+    assert "character_table_6.json" not in os.listdir(tmp_path)
+
+
+def test_tampered_character_table_is_recomputed(tmp_path, monkeypatch):
+    argv = ["--cache-dir", str(tmp_path), "equivariant", "--complex", "matching",
+            "--p", "3", "--n", "7"]
+    monkeypatch.setattr(characters, "_memory_tables", {})
+    code, fresh = invoke(argv)
+    assert code == 0
+    path = tmp_path / "character_table_7.json"
+    good = path.read_text()
+    data = json.loads(good)
+    entry = next(e for e in data["table"][1]["values"] if e["mu"] != [1] * 7)
+    entry["chi"] += 1
+    path.write_text(json.dumps(data))
+    monkeypatch.setattr(characters, "_memory_tables", {})
+    code, out = invoke(argv)
+    assert code == 0 and out == fresh
+    assert path.read_text() == good
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["chain", "--p", "0", "--n", "3", "--r", "1"],
+        ["euler-poincare", "--p", "0", "--n", "3"],
+        ["top-prediction", "--p", "0"],
+        ["top-prediction", "--p", "1"],
+    ],
+    ids=["chain", "euler-poincare", "top-prediction-0", "top-prediction-1"],
+)
+def test_formula_rejects_p_below_2(argv, capsys):
+    code, out = invoke(["formula", *argv])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == "error: p must be at least 2\n"
 
 
 @pytest.mark.parametrize(

@@ -273,8 +273,15 @@ def test_equivariant_traces_against_explicit_basis_solving():
     from equihom.partitions import partitions_of
     from equihom.permutations import centralizer_order, representative
 
-    for p, n, i in ((2, 6, 1), (3, 7, 1), (3, 6, 0)):
-        cx = matching_complex(p, n)
+    k5 = _k5_with_triples()
+    for cx, i in (
+        (matching_complex(2, 6), 1),
+        (matching_complex(3, 7), 1),
+        (matching_complex(3, 6), 0),
+        (k5, 0),
+        (k5, 1),
+    ):
+        n = cx.action.n
         faces = cx.faces(i)
         idx = {f: k for k, f in enumerate(faces)}
         reps = homology_representatives(cx, i)
@@ -307,7 +314,112 @@ def test_equivariant_traces_against_explicit_basis_solving():
             expected = sum(
                 m * table[lam][mu] for lam, m in dec.multiplicities(i).items()
             )
-            assert values[mu] == expected, (p, n, i, mu)
+            assert values[mu] == expected, (cx.name, i, mu)
+
+
+def _k5_with_triples():
+    """S_5 relabelling the complete graph on the vertices (i,) plus the ten
+    3-subsets of {0..4} as isolated vertices: homology in degrees 0 and 1."""
+    from itertools import combinations
+
+    from equihom.complexes import SnAction
+
+    labels = [(i,) for i in range(5)] + list(combinations(range(5), 3))
+    faces = [()] + [(k,) for k in range(len(labels))] + list(combinations(range(5), 2))
+    cx = SimplicialComplex(labels, faces, name="K5+triples")
+    cx.action = SnAction(
+        5, lambda sigma: lambda lab: tuple(sorted(sigma[x] for x in lab))
+    )
+    return cx
+
+
+def test_two_degree_complex_by_hand():
+    # eleven components, one of them K_5: H~_0 is the permutation module on
+    # 3-subsets, h_3 h_2; H~_1 is the cycle space of K_5, the exterior square
+    # of the standard representation
+    for cx in (_k5_with_triples(), _shuffled(_k5_with_triples(), seed=1)):
+        dec = equivariant_decomposition(cx)
+        assert dec.nonzero_degrees() == [0, 1]
+        assert dec.characteristic(0) == s((5,)) + s((4, 1)) + s((3, 2))
+        assert dec.characteristic(1) == s((3, 1, 1))
+
+
+def test_pcycle_5_10_has_two_degrees():
+    dec = equivariant_decomposition(pcycle_complex(5, 10))
+    assert dec.nonzero_degrees() == [0, 1]
+    assert dec.multiplicities(0) == {Partition((8, 2)): 1, Partition((6, 4)): 1}
+    assert dec.multiplicities(1) == {
+        Partition(lam): 1
+        for lam in (
+            (4, 4, 1, 1), (4, 3, 3), (4, 3, 2, 1), (4, 2, 2, 1, 1), (3, 3, 2, 2),
+            (3, 3, 2, 1, 1), (3, 3, 1, 1, 1, 1), (3, 2, 2, 2, 1), (2, 2, 2, 2, 1, 1),
+        )
+    }
+    assert (dec.betti(0), dec.betti(1)) == (125, 3150)
+
+
+def _shuffled(cx, seed):
+    """The same complex and action with its vertices listed in a shuffled
+    order, so that orbits start at faces unrelated to the action."""
+    import random
+
+    labels = list(cx.vertex_labels)
+    random.Random(seed).shuffle(labels)
+    pos = {lab: k for k, lab in enumerate(labels)}
+    faces = [
+        tuple(sorted(pos[cx.vertex_labels[v]] for v in f)) for f in cx.all_faces()
+    ]
+    out = SimplicialComplex(labels, faces, name=f"{cx.name} shuffled")
+    out.action = cx.action
+    return out
+
+
+@pytest.mark.parametrize("shuffle", [False, True], ids=["sorted", "shuffled"])
+@pytest.mark.parametrize(
+    "kind, p, n", [("matching", 3, 7), ("matching", 2, 7), ("pcycle", 3, 6)]
+)
+def test_orbit_ranks_agree_with_the_betti_recursion(kind, p, n, shuffle):
+    """Where the Betti recursion fixes every image, the orbit-rank route,
+    run on every image for every Young subgroup and without bounds, must
+    give the same Specht multiplicities."""
+    from equihom import complexes, homology
+    from equihom.characters import character_table
+    from equihom.partitions import partitions_of
+
+    cx = getattr(complexes, complexes.KINDS[kind].builder)(p, n)
+    if shuffle:
+        cx = _shuffled(cx, seed=1)
+    ranks = homology._boundary_ranks(cx)
+    betti_numbers = homology._betti_from_ranks(cx, ranks)
+    chain = {
+        i: {mu: int(v) for mu, v in chain_class_function(cx, i).values.items()}
+        for i in betti_numbers
+    }
+    table = character_table(n)
+    image = homology._image_characters(cx, ranks, betti_numbers, chain, table)
+    for j in range(cx.dim + 1):
+        unbounded = dict.fromkeys(partitions_of(n), ranks[j])
+        assert homology._image_multiplicities(cx, j, ranks[j], unbounded) == (
+            homology._multiplicities(image[j], table, f"im ∂_{j}")
+        ), j
+
+
+def test_equivariant_decomposition_runs_no_gauss_jordan(monkeypatch):
+    from equihom import homology
+
+    calls = []
+
+    def spy(matrix, full=False):
+        calls.append(full)
+        return eliminate(matrix, full)
+
+    monkeypatch.setattr(homology, "eliminate", spy)
+    for cx in (matching_complex(3, 7), _k5_with_triples()):
+        calls.clear()
+        equivariant_decomposition(cx)
+        # one rank per boundary map, plus orbit ranks when two degrees have homology
+        assert len(calls) >= cx.dim + 1
+        assert not any(calls), cx.name
 
 
 def test_missing_action_raises():
