@@ -275,7 +275,7 @@ def _cmd_cross_check(args, out):
             lhs = restrict_length(plethysm(from_e(r), from_h(p)), r)
             rhs = add_column(plethysm(from_h(r), from_h(p - 1)), r)
             check(f"restriction identity r={r} p={p}", lhs == rhs)
-    top_n = 7 if args.quick else 8
+    top_n = 7 if args.quick else 9
     for n in range(4, top_n + 1):
         q = quillen_complex(3, n)
         m = matching_complex(3, n)

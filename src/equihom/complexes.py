@@ -13,6 +13,7 @@ from itertools import combinations, permutations
 from .permutations import (
     compose,
     conjugate_perm,
+    from_cycles,
     identity,
     is_prime,
     prime_order_elements,
@@ -271,21 +272,17 @@ def inflation(cx: SimplicialComplex, multiplicities) -> SimplicialComplex:
     return out
 
 
-def _canonical_cycle(cycle: tuple) -> tuple:
-    start = cycle.index(min(cycle))
-    return cycle[start:] + cycle[:start]
-
-
 def _cyclic_subgroup_key(cycle: tuple) -> tuple:
-    """Least power of the cycle, each written from its smallest element."""
+    """Least power of the cycle, each written from its smallest element.
+
+    Every power so written starts at the smallest element, and their second
+    entries are distinct, so the least power is the one whose second entry
+    is the second-smallest element."""
     p = len(cycle)
-    best = None
-    for k in range(1, p):
-        power = tuple(cycle[(i * k) % p] for i in range(p))
-        power = _canonical_cycle(power)
-        if best is None or power < best:
-            best = power
-    return best
+    first, second = sorted(cycle)[:2]
+    start = cycle.index(first)
+    step = cycle.index(second) - start
+    return tuple(cycle[(start + i * step) % p] for i in range(p))
 
 
 def pcycle_complex(p: int, n: int) -> SimplicialComplex:
@@ -337,48 +334,52 @@ def _perm_order_p_powers(g: tuple, p: int) -> list[tuple]:
 
 
 def enumerate_elementary_abelian(p: int, n: int) -> list[SubgroupLabel]:
-    """All nontrivial elementary abelian p-subgroups of S_n, BFS by rank."""
-    gens_of_order_p = list(prime_order_elements(n, p))
+    """All nontrivial elementary abelian p-subgroups of S_n, by conjugacy class.
+
+    Every rank-r subgroup is conjugate to an extension of a rank-(r-1) class
+    representative by an order-p element commuting with it, so only one
+    representative per class is extended; each new class is then closed
+    under conjugation by the adjacent transpositions, which generate S_n."""
+    order_p = list(prime_order_elements(n, p))
     ident = identity(n)
-    # rank 1
-    seen: dict[tuple, SubgroupLabel] = {}
-    for g in gens_of_order_p:
-        elements = tuple(sorted(_perm_order_p_powers(g, p)))
-        if elements not in seen:
-            seen[elements] = SubgroupLabel(elements, (min(elements),))
-    frontier = list(seen.values())
-    result = list(frontier)
-    while frontier:
-        new: dict[tuple, SubgroupLabel] = {}
-        for sub in frontier:
-            members = set(sub.elements)
-            for g in gens_of_order_p:
-                if g in members:
+    # conjugation by each adjacent transposition, as a map on order-p elements
+    swaps = [
+        {h: conjugate_perm(t, h) for h in order_p}
+        for t in (from_cycles([(k, k + 1)], n) for k in range(n - 1))
+    ]
+    seen: set[tuple] = set()
+    reps = [((), ())]  # the trivial subgroup: (sorted elements, generators)
+    while reps:
+        new_reps = []
+        for elements, gens in reps:
+            members = set(elements)
+            for g in order_p:
+                if g in members or any(compose(g, h) != compose(h, g) for h in gens):
                     continue
-                if any(
-                    compose(g, h) != compose(h, g) for h in sub.generators
-                ):
-                    continue
-                elements = set(sub.elements)
-                elements.update(
+                key = tuple(sorted(members.union(
                     compose(h, gp)
-                    for h in sub.elements + (ident,)
+                    for h in elements + (ident,)
                     for gp in _perm_order_p_powers(g, p)
-                )
-                elements.discard(ident)
-                key = tuple(sorted(elements))
+                )))
                 # |<H, g>| = p |H| when g commutes with and avoids H
-                assert len(key) == (len(sub.elements) + 1) * p - 1
-                if key not in new:
-                    new[key] = SubgroupLabel(key, sub.generators + (g,))
-        # canonical generators: rebuild greedily so the label does not depend
-        # on which extension found the subgroup first
-        frontier = [
-            SubgroupLabel(key, _greedy_generators(key, p, ident))
-            for key in sorted(new)
-        ]
-        result.extend(frontier)
-    return sorted(result, key=lambda s: s.sort_key())
+                assert len(key) == (len(elements) + 1) * p - 1
+                if key in seen:
+                    continue
+                new_reps.append((key, gens + (g,)))
+                seen.add(key)
+                stack = [key]
+                while stack:
+                    sub = stack.pop()
+                    for swap in swaps:
+                        image = tuple(sorted(map(swap.__getitem__, sub)))
+                        if image not in seen:
+                            seen.add(image)
+                            stack.append(image)
+        reps = new_reps
+    return [
+        SubgroupLabel(key, _greedy_generators(key, p, ident))
+        for key in sorted(seen, key=lambda key: (len(key), key))
+    ]
 
 
 def _greedy_generators(elements: tuple, p: int, ident: tuple) -> tuple:
@@ -418,24 +419,37 @@ def quillen_complex(p: int, n: int, allow_large: bool = False) -> SimplicialComp
             "pass allow_large=True to override"
         )
     subgroups = enumerate_elementary_abelian(p, n)
-    poset = Poset(
-        subgroups,
-        lambda a, b: len(a.elements) < len(b.elements)
-        and set(a.elements) <= set(b.elements),
-    )
-    cx = order_complex(poset, name=f"quillen(p={p},n={n})")
+    # a subgroup is determined by its cyclic subgroups, so A < B exactly when
+    # every cyclic subgroup of A lies in B (and A != B)
+    cyclic_of = {
+        h: i for i, lab in enumerate(subgroups) if lab.rank == 1 for h in lab.elements
+    }
+    cyclics = [{cyclic_of[h] for h in lab.elements} for lab in subgroups]
+    containing = [set() for _ in subgroups]  # cyclic subgroup -> subgroups
+    for j, cs in enumerate(cyclics):
+        for c in cs:
+            containing[c].add(j)
+    up = [
+        sorted(set.intersection(*(containing[c] for c in cs)) - {i})
+        for i, cs in enumerate(cyclics)
+    ]
+    cx = order_complex(Poset(subgroups, up), name=f"quillen(p={p},n={n})")
     _attach_quillen(cx, p, n)
     return cx
 
 
 def _attach_quillen(cx: SimplicialComplex, p: int, n: int):
+    # every order-p element lies in a rank-1 subgroup
+    order_p = [h for lab in cx.vertex_labels if lab.rank == 1 for h in lab.elements]
+
     def relabel(sigma):
+        conjugates = {h: conjugate_perm(sigma, h) for h in order_p}
+
         def apply(lab):
-            elements = tuple(
-                sorted(conjugate_perm(sigma, h) for h in lab.elements)
-            )
-            gens = tuple(conjugate_perm(sigma, h) for h in lab.generators)
-            return SubgroupLabel(elements, gens)
+            # generators take no part in label equality, so the image is
+            # found in vertex_index without conjugating them
+            elements = sorted(map(conjugates.__getitem__, lab.elements))
+            return SubgroupLabel(tuple(elements), ())
 
         return apply
 
@@ -490,57 +504,42 @@ def load_complex(kind: str, p: int, n: int, text: str) -> SimplicialComplex:
     return cx
 
 
+@dataclass
 class Poset:
-    """Finite poset: ordered element list plus a strict comparison."""
+    """Finite poset: its elements in a linear-extension order, and for each
+    element the indices of the elements strictly above it."""
 
-    def __init__(self, elements, less):
-        self.elements = list(elements)
-        self.less = less
-
-    def __len__(self):
-        return len(self.elements)
+    elements: list
+    up: list  # up[i] lists each j with elements[i] < elements[j]
 
 
 def face_poset(cx: SimplicialComplex) -> Poset:
-    """Poset of nonempty faces ordered by inclusion."""
+    """Poset of nonempty faces ordered by inclusion, smaller faces first."""
     elements = [f for f in cx.all_faces() if f]
-    return Poset(elements, lambda a, b: len(a) < len(b) and set(a) <= set(b))
+    index = {f: i for i, f in enumerate(elements)}
+    up: list[list[int]] = [[] for _ in elements]
+    for j, g in enumerate(elements):
+        for size in range(1, len(g)):
+            for f in combinations(g, size):
+                up[index[f]].append(j)
+    return Poset(elements, up)
 
 
 def order_complex(poset: Poset, name: str = "order complex") -> SimplicialComplex:
-    """Chains of the poset as faces.  Vertices are sorted so that the index
-    order is a linear extension; chains then have increasing indices."""
-    elems = poset.elements
-    m = len(elems)
-    order = sorted(range(m), key=lambda i: (_rank_key(elems[i]), i))
-    labels = [elems[i] for i in order]
-    above = [[] for _ in range(m)]
-    for a in range(m):
-        for b in range(a + 1, m):
-            if poset.less(labels[a], labels[b]):
-                above[a].append(b)
-            elif poset.less(labels[b], labels[a]):
-                raise ValueError(
-                    "element sort order is not a linear extension of the poset"
-                )
+    """Chains of the poset as faces, on the poset's element order; since that
+    order is a linear extension, chains have increasing indices."""
+    if any(j <= i for i, js in enumerate(poset.up) for j in js):
+        raise ValueError("element order is not a linear extension of the poset")
     faces = [()]
 
     def grow(chain):
         faces.append(chain)
-        for j in above[chain[-1]]:
+        for j in poset.up[chain[-1]]:
             grow(chain + (j,))
 
-    for k in range(m):
+    for k in range(len(poset.up)):
         grow((k,))
-    return SimplicialComplex(labels, faces, name=name)
-
-
-def _rank_key(element):
-    if isinstance(element, SubgroupLabel):
-        return (len(element.elements), element.elements)
-    if isinstance(element, tuple):
-        return (len(element), element)
-    return (0, element)
+    return SimplicialComplex(poset.elements, faces, name=name)
 
 
 def barycentric_subdivision(cx: SimplicialComplex) -> SimplicialComplex:

@@ -215,7 +215,7 @@ def _validate_action(cx: SimplicialComplex):
     for sigma in gens:
         perm = action.vertex_permutation(cx, sigma)
         for f in cx.all_faces():
-            g, _ = cx.face_image(perm, f)
+            g = tuple(sorted(perm[v] for v in f))
             if not cx.has_face(g):
                 raise ValueError(f"action is not simplicial: {f} -> {g}")
 

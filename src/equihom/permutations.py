@@ -14,7 +14,8 @@ def identity(n: int) -> tuple[int, ...]:
 
 def compose(a, b):
     """a after b: (a*b)[i] = a[b[i]]."""
-    return tuple(a[x] for x in b)
+    # a list comprehension is about twice as fast here as a generator
+    return tuple([a[x] for x in b])
 
 
 def is_prime(p: int) -> bool:

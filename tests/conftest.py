@@ -7,7 +7,7 @@ from equihom.homology import equivariant_decomposition
 @pytest.fixture(scope="session")
 def decomposition_cache():
     """Shared equivariant decompositions; the heavy ones (M_3(10), quillen at
-    n=8) are computed once for the whole run."""
+    n=9) are computed once for the whole run."""
     cache = {}
 
     def get(kind, p, n):

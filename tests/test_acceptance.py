@@ -178,7 +178,7 @@ def test_criterion_6_top_homology_conjecture(decomposition_cache):
 def test_criterion_7_quillen_vs_cycle_complex(decomposition_cache):
     started = time.time()
     ok = True
-    for n in range(4, 9):
+    for n in range(4, 10):
         q_cx, q_dec = decomposition_cache("quillen", 3, n)
         m_cx, m_dec = decomposition_cache("matching", 3, n)
         if q_cx.dim != m_cx.dim:

@@ -2,8 +2,11 @@ from math import factorial
 
 import pytest
 
+from equihom import complexes
 from equihom.complexes import (
+    Poset,
     SimplicialComplex,
+    SubgroupLabel,
     barycentric_subdivision,
     face_poset,
     inflation,
@@ -14,7 +17,12 @@ from equihom.complexes import (
     quillen_complex,
     subgroup_from_generators,
 )
-from equihom.permutations import from_cycles
+from equihom.permutations import (
+    compose,
+    from_cycles,
+    identity,
+    prime_order_elements,
+)
 
 
 def _assert_simplicial(cx):
@@ -152,6 +160,135 @@ def test_order_complex_of_edge_is_path():
     sd = order_complex(face_poset(edge))
     assert sd.f_vector() == (1, 3, 2)
     assert sd.dim == 1
+
+
+def test_order_complex_rejects_an_order_that_is_not_a_linear_extension():
+    # "a" < "ab", but "ab" is listed first
+    with pytest.raises(ValueError, match="linear extension"):
+        order_complex(Poset(["ab", "a"], [[], [0]]))
+    assert order_complex(Poset(["a", "ab"], [[1], []])).f_vector() == (1, 2, 1)
+
+
+# -- reference: the rank-by-rank search over all order-p elements and the
+# all-pairs order complex, which the conjugacy-class search and the explicit
+# up-sets must reproduce exactly
+
+
+def _powers(g, p):
+    out, cur = [], g
+    for _ in range(p - 1):
+        out.append(cur)
+        cur = compose(cur, g)
+    return out
+
+
+def _reference_subgroups(p, n):
+    gens_of_order_p = list(prime_order_elements(n, p))
+    ident = identity(n)
+    seen = {}
+    for g in gens_of_order_p:
+        elements = tuple(sorted(_powers(g, p)))
+        if elements not in seen:
+            seen[elements] = SubgroupLabel(elements, (min(elements),))
+    frontier = list(seen.values())
+    result = list(frontier)
+    while frontier:
+        new = {}
+        for sub in frontier:
+            members = set(sub.elements)
+            for g in gens_of_order_p:
+                if g in members:
+                    continue
+                if any(compose(g, h) != compose(h, g) for h in sub.generators):
+                    continue
+                elements = set(sub.elements)
+                elements.update(
+                    compose(h, gp) for h in sub.elements + (ident,) for gp in _powers(g, p)
+                )
+                elements.discard(ident)
+                key = tuple(sorted(elements))
+                assert len(key) == (len(sub.elements) + 1) * p - 1
+                if key not in new:
+                    new[key] = SubgroupLabel(key, sub.generators + (g,))
+        frontier = [
+            SubgroupLabel(key, _reference_greedy_generators(key, p, ident))
+            for key in sorted(new)
+        ]
+        result.extend(frontier)
+    return sorted(result, key=lambda s: s.sort_key())
+
+
+def _reference_greedy_generators(elements, p, ident):
+    gens = ()
+    span = {ident}
+    for g in elements:
+        if g in span:
+            continue
+        gens = gens + (g,)
+        span = {compose(a, b) for a in span for b in _powers(g, p) + [ident]}
+    return gens
+
+
+def _reference_order_complex(elements, less, name):
+    order = sorted(range(len(elements)), key=lambda i: (elements[i].sort_key(), i))
+    labels = [elements[i] for i in order]
+    above = [[] for _ in labels]
+    for a in range(len(labels)):
+        for b in range(a + 1, len(labels)):
+            if less(labels[a], labels[b]):
+                above[a].append(b)
+            assert not less(labels[b], labels[a])
+    faces = [()]
+
+    def grow(chain):
+        faces.append(chain)
+        for j in above[chain[-1]]:
+            grow(chain + (j,))
+
+    for k in range(len(labels)):
+        grow((k,))
+    return SimplicialComplex(labels, faces, name=name)
+
+
+@pytest.mark.parametrize(
+    "p, n",
+    [(2, n) for n in range(1, 7)]
+    + [(3, n) for n in range(2, 9)]
+    + [(5, n) for n in range(4, 8)],
+)
+def test_quillen_complex_matches_the_reference_search(p, n):
+    expected = _reference_subgroups(p, n)
+    found = complexes.enumerate_elementary_abelian(p, n)
+    assert [(s.elements, s.generators) for s in found] == [
+        (s.elements, s.generators) for s in expected
+    ]
+    reference = _reference_order_complex(
+        expected,
+        lambda a, b: len(a.elements) < len(b.elements)
+        and set(a.elements) <= set(b.elements),
+        name=f"quillen(p={p},n={n})",
+    )
+    q = quillen_complex(p, n)
+    assert q.to_text() == reference.to_text()
+    assert [(s.elements, s.generators) for s in q.vertex_labels] == [
+        (s.elements, s.generators) for s in reference.vertex_labels
+    ]
+    if n < p:
+        assert q.f_vector() == (1,)
+
+
+def test_quillen_complex_enumerates_and_orders_once(monkeypatch):
+    calls = {"enumerate_elementary_abelian": 0, "order_complex": 0}
+    for name in calls:
+        original = getattr(complexes, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(complexes, name, counted)
+    quillen_complex(3, 6)
+    assert calls == {"enumerate_elementary_abelian": 1, "order_complex": 1}
 
 
 def test_barycentric_subdivision_keeps_action():
