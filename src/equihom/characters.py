@@ -3,18 +3,13 @@ the induced characters used by the closed-form pipelines."""
 
 from __future__ import annotations
 
-import contextlib
-import json
-import os
 from fractions import Fraction
 from functools import cache
 from math import factorial
 
-from .partitions import Partition, hook_dimension, maj_count, partitions_of
+from .partitions import Partition, maj_count, partitions_of
 from .permutations import centralizer_order, is_prime
-from .symfunc import SymmetricFunction
-
-TABLE_VERSION = 1
+from .symfunc import SymmetricFunction, _power_to_schur
 
 
 class ClassFunction:
@@ -82,163 +77,25 @@ class ClassFunction:
         )
 
 
-def _removable_border_strips(lam: tuple, k: int):
-    """All (nu, sign) with lam/nu a border strip of k boxes.
-
-    A strip spanning rows a..b of lam forces nu_i = lam_{i+1} - 1 for
-    a <= i < b and nu_b = lam_a - k + (b - a); sign is (-1)^(b-a).
-    """
-    l = len(lam)
-    out = []
-    for a in range(l):
-        for b in range(a, min(a + k, l)):
-            tail = lam[a] - k + (b - a)
-            if tail < 0:
-                continue
-            if b > a and tail > lam[b] - 1:
-                continue
-            if b + 1 < l and tail < lam[b + 1]:
-                continue
-            nu = (
-                lam[:a]
-                + tuple(lam[i + 1] - 1 for i in range(a, b))
-                + (tail,)
-                + lam[b + 1 :]
-            )
-            out.append((tuple(x for x in nu if x), -1 if (b - a) % 2 else 1))
-    return out
-
-
-@cache
-def _mn(lam: tuple, mu: tuple) -> int:
-    if not mu:
-        return 1 if not lam else 0
-    k, rest = mu[0], mu[1:]
-    total = 0
-    for nu, sign in _removable_border_strips(lam, k):
-        total += sign * _mn(nu, rest)
-    return total
-
-
 def irreducible_character(lam, mu) -> int:
-    """chi^lam evaluated on the class of cycle type mu, by the signed
-    border-strip recursion."""
+    """chi^lam evaluated on the class of cycle type mu: the coefficient of
+    s_lam in the power-sum product p_mu (Murnaghan-Nakayama)."""
     lam, mu = Partition(lam), Partition(mu)
     if lam.n != mu.n:
         raise ValueError(f"degree mismatch: |{tuple(lam)}| != |{tuple(mu)}|")
-    return _mn(tuple(lam), tuple(mu))
+    return _power_to_schur(mu).get(lam, 0)
 
 
-_memory_tables: dict = {}
-_default_cache_dir: str | None = None
-
-
-def set_cache_dir(path: str | None) -> str | None:
-    """Set the default disk-cache directory for character tables; returns
-    the previous one."""
-    global _default_cache_dir
-    previous, _default_cache_dir = _default_cache_dir, path
-    return previous
-
-
-def character_table(n: int, cache_dir: str | None = None) -> dict:
-    """Full table {lam: {mu: chi^lam(mu)}} for S_n, optionally disk-cached."""
-    cache_dir = cache_dir or _default_cache_dir
-    if n in _memory_tables:
-        return _memory_tables[n]
-    table = None
-    path = None
-    if cache_dir:
-        path = os.path.join(cache_dir, f"character_table_{n}.json")
-        table = _load_table(path, n)
-    if table is None:
-        parts = partitions_of(n)
-        table = {
-            lam: {mu: irreducible_character(lam, mu) for mu in parts}
-            for lam in parts
-        }
-        if path:
-            _save_table(path, n, table)
-    _memory_tables[n] = table
-    return table
-
-
-def _load_table(path, n):
-    """The table cached at path, or None when the file is missing or does
-    not hold a valid character table of S_n."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-        if data.get("version") != TABLE_VERSION or data.get("n") != n:
-            return None
-        table = {
-            Partition(row["lam"]): {
-                Partition(e["mu"]): e["chi"] for e in row["values"]
-            }
-            for row in data["table"]
-        }
-    except (OSError, ValueError, KeyError, TypeError):
-        return None
-    return table if _is_character_table(table, n) else None
-
-
-def _is_character_table(table: dict, n: int) -> bool:
-    """Cheap checks that table is the character table of S_n: one integer
-    row and column per partition, chi^lam(1^n) = hook_dimension(lam), every
-    row of norm 1, and the rows summed with weights chi^lam(1^n) give the
-    regular character (n! at 1^n, 0 elsewhere)."""
-    parts = set(partitions_of(n))
-    if set(table) != parts:
-        return False
-    order = factorial(n)
-    sizes = {mu: order // centralizer_order(mu) for mu in parts}
-    identity = Partition([1] * n)
-    regular = dict.fromkeys(parts, 0)
-    for lam, row in table.items():
-        if set(row) != parts or any(type(chi) is not int for chi in row.values()):
-            return False
-        dim = row[identity]
-        if dim != hook_dimension(lam):
-            return False
-        if sum(chi * chi * sizes[mu] for mu, chi in row.items()) != order:
-            return False
-        for mu, chi in row.items():
-            regular[mu] += dim * chi
-    return all(v == (order if mu == identity else 0) for mu, v in regular.items())
-
-
-def _save_table(path, n, table):
-    data = {
-        "version": TABLE_VERSION,
-        "n": n,
-        "table": [
-            {
-                "lam": list(lam),
-                "values": [{"mu": list(mu), "chi": chi} for mu, chi in row.items()],
-            }
-            for lam, row in table.items()
-        ],
+@cache
+def character_table(n: int) -> dict:
+    """Full table {lam: {mu: chi^lam(mu)}} for S_n, rows and columns in
+    decreasing lex order; one column per power-sum expansion p_mu."""
+    parts = partitions_of(n)
+    columns = [_power_to_schur(mu) for mu in parts]
+    return {
+        lam: {mu: col.get(lam, 0) for mu, col in zip(parts, columns)}
+        for lam in parts
     }
-    try:
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        write_atomic(path, json.dumps(data).encode("utf-8"))
-    except OSError:
-        pass
-
-
-def write_atomic(path: str, data: bytes):
-    """Write a file so that a reader sees either its old or its new content,
-    never a partial one: write a temporary file in the same directory, then
-    rename it into place."""
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
-        raise
 
 
 def irreducible_class_function(lam) -> ClassFunction:

@@ -2,7 +2,8 @@
 
 Subcommands: build, homology, equivariant, formula, verify-table,
 verify-conjecture, cross-check, dump.  Exit codes: 0 success, 1 verification
-mismatch, 2 usage error, 3 internal error (a failed invariant check).
+mismatch, 2 usage error, 3 internal error (a failed invariant check, or
+memory ran out).
 Output is deterministic: fixed orderings, no timestamps, and --threads never
 changes results (execution is sequential).
 """
@@ -10,6 +11,7 @@ changes results (execution is sequential).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -53,7 +55,21 @@ from .symfunc import (
 
 
 COMPLEX_CACHE_VERSION = 2
-_cache_dir: str | None = None
+
+
+def write_atomic(path: str, data: bytes):
+    """Write a file so that a reader sees either its old or its new content,
+    never a partial one: write a temporary file in the same directory, then
+    rename it into place."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def _digest_line(payload: bytes) -> bytes:
@@ -81,14 +97,16 @@ def _read_cached_complex(path: str, kind: str, p: int, n: int):
         return None
 
 
-def _build_complex(kind: str, p: int, n: int, allow_large: bool):
-    """Build a complex, going through the facet-list disk cache when a cache
-    directory is configured.  An entry is a `sha256 <hex>` line followed by
-    the complex's to_text(); a corrupt or truncated entry is rebuilt."""
+def _build_complex(args):
+    """Build the complex that args names, going through the facet-list disk
+    cache when args.cache_dir is set.  An entry is a `sha256 <hex>` line
+    followed by the complex's to_text(); a corrupt or truncated entry is
+    rebuilt."""
+    kind, p, n = args.complex, args.p, args.n
     path = None
-    if _cache_dir:
+    if args.cache_dir:
         path = os.path.join(
-            _cache_dir, f"{kind}_p{p}_n{n}_v{COMPLEX_CACHE_VERSION}.complex"
+            args.cache_dir, f"{kind}_p{p}_n{n}_v{COMPLEX_CACHE_VERSION}.complex"
         )
         cx = _read_cached_complex(path, kind, p, n)
         if cx is not None:
@@ -96,11 +114,11 @@ def _build_complex(kind: str, p: int, n: int, allow_large: bool):
     spec = KINDS[kind]
     # looked up at call time, so that a wrapped builder is the one called
     build = globals()[spec.builder]
-    cx = build(p, n, allow_large=allow_large) if spec.size_guarded else build(p, n)
+    cx = build(p, n, allow_large=args.allow_large) if spec.size_guarded else build(p, n)
     if path:
         payload = cx.to_text().encode("utf-8")
         try:
-            characters.write_atomic(path, _digest_line(payload) + b"\n" + payload)
+            write_atomic(path, _digest_line(payload) + b"\n" + payload)
         except OSError:
             pass
     return cx
@@ -114,7 +132,7 @@ def _emit_symfunc(f: SymmetricFunction, fmt: str, out):
 
 
 def _cmd_build(args, out):
-    cx = _build_complex(args.complex, args.p, args.n, args.allow_large)
+    cx = _build_complex(args)
     if args.format == "json":
         print(
             json.dumps(
@@ -132,7 +150,7 @@ def _cmd_build(args, out):
 
 
 def _cmd_dump(args, out):
-    cx = _build_complex(args.complex, args.p, args.n, args.allow_large)
+    cx = _build_complex(args)
     if args.boundary is not None:
         if not 0 <= args.boundary <= cx.dim:
             raise ValueError(
@@ -145,7 +163,7 @@ def _cmd_dump(args, out):
 
 
 def _cmd_homology(args, out):
-    cx = _build_complex(args.complex, args.p, args.n, args.allow_large)
+    cx = _build_complex(args)
     numbers = betti(cx)
     if args.format == "json":
         print(
@@ -166,7 +184,7 @@ def _cmd_homology(args, out):
 
 
 def _cmd_equivariant(args, out):
-    cx = _build_complex(args.complex, args.p, args.n, args.allow_large)
+    cx = _build_complex(args)
     decomp = equivariant_decomposition(cx)
     data = decomp.to_json()
     if args.degree is not None:
@@ -314,8 +332,8 @@ def make_parser() -> argparse.ArgumentParser:
     parser.add_argument("--threads", type=int, default=1,
                         help="accepted for compatibility; results never depend on it")
     parser.add_argument("--cache-dir", default=os.environ.get("EQUIHOM_CACHE_DIR"),
-                        help="directory for the disk caches of built complexes"
-                        " and character tables")
+                        help="directory for the disk cache of built complexes"
+                        " (each entry sha256-checked, rebuilt when corrupt)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def complex_args(sp):
@@ -377,11 +395,8 @@ def run(argv=None, out=None) -> int:
     args = parser.parse_args(argv)
     if args.threads < 1:
         parser.error("--threads must be positive")
-    global _cache_dir
-    _cache_dir = args.cache_dir or None
-    if _cache_dir:
-        os.makedirs(_cache_dir, exist_ok=True)
-    previous_table_dir = characters.set_cache_dir(_cache_dir)
+    if args.cache_dir:
+        os.makedirs(args.cache_dir, exist_ok=True)
     handlers = {
         "build": _cmd_build,
         "dump": _cmd_dump,
@@ -397,11 +412,9 @@ def run(argv=None, out=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ArithmeticError, KeyError) as exc:
+    except (ArithmeticError, KeyError, MemoryError) as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    finally:
-        characters.set_cache_dir(previous_table_dir)
 
 
 def main() -> None:

@@ -412,6 +412,8 @@ def quillen_complex(p: int, n: int, allow_large: bool = False) -> SimplicialComp
     p-subgroups of S_n, with the conjugation action."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     limit = _QUILLEN_DEFAULT_LIMIT.get(p, p + 2)
     if n > limit and not allow_large:
         raise ValueError(

@@ -157,6 +157,8 @@ def euler_poincare_character(p: int, n: int) -> SymmetricFunction:
     complex on n points: sum_r (-1)^r e_r[h_p] h_{n-pr}.  Virtual (signed)."""
     if p < 2:
         raise ValueError("p must be at least 2")
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     total = SymmetricFunction.zero(n)
     for r in range(n // p + 1):
         term = multiply(plethysm(from_e(r), from_h(p)), from_h(n - p * r))

@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import pytest
 
-from equihom import characters
 from equihom.characters import (
     ClassFunction,
     character_table,
@@ -159,60 +158,14 @@ def test_class_function_json_round_trip():
     assert ClassFunction.from_json(data) == cf
 
 
-def test_character_table_disk_cache(tmp_path):
-    characters._memory_tables.pop(4, None)
-    table = character_table(4, cache_dir=str(tmp_path))
-    path = tmp_path / "character_table_4.json"
-    assert path.exists()
-    characters._memory_tables.pop(4, None)
-    again = character_table(4, cache_dir=str(tmp_path))
-    assert again == table
-    # corruption: rebuilt silently
-    path.write_text("{not json")
-    characters._memory_tables.pop(4, None)
-    rebuilt = character_table(4, cache_dir=str(tmp_path))
-    assert rebuilt == table
-    # stale version stamp: rebuilt
-    data = json.loads(path.read_text())
-    data["version"] = -1
-    path.write_text(json.dumps(data))
-    characters._memory_tables.pop(4, None)
-    rebuilt = character_table(4, cache_dir=str(tmp_path))
-    assert rebuilt == table
-    characters._memory_tables.pop(4, None)
-
-
-def _drop_row(data):
-    del data["table"][-1]
-
-
-def _float_entry(data):
-    data["table"][0]["values"][0]["chi"] = float(data["table"][0]["values"][0]["chi"])
-
-
-def _wrong_dimension(data):
-    row = data["table"][1]["values"]
-    next(e for e in row if e["mu"] == [1] * 5)["chi"] += 5
-
-
-def _negated_entry(data):
-    # keeps the identity column and every row norm; only the regular
-    # character identity sees it
-    row = data["table"][1]["values"]
-    next(e for e in row if e["mu"] != [1] * 5 and e["chi"])["chi"] *= -1
-
-
-@pytest.mark.parametrize(
-    "tamper", [_drop_row, _float_entry, _wrong_dimension, _negated_entry]
-)
-def test_invalid_cached_table_is_recomputed(tmp_path, monkeypatch, tamper):
-    monkeypatch.setattr(characters, "_memory_tables", {})
-    table = character_table(5, cache_dir=str(tmp_path))
-    path = tmp_path / "character_table_5.json"
-    good = path.read_text()
-    data = json.loads(good)
-    tamper(data)
-    path.write_text(json.dumps(data))
-    monkeypatch.setattr(characters, "_memory_tables", {})
-    assert character_table(5, cache_dir=str(tmp_path)) == table
-    assert path.read_text() == good
+def test_character_table_matches_border_strip_removal(border_strip_character):
+    for n in range(10):
+        parts = partitions_of(n)
+        table = character_table(n)
+        assert list(table) == parts
+        for lam, row in table.items():
+            assert list(row) == parts
+            for mu, chi in row.items():
+                assert type(chi) is int
+                assert chi == irreducible_character(lam, mu)
+                assert chi == border_strip_character(lam, mu), (lam, mu)

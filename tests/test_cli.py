@@ -97,7 +97,7 @@ def test_cross_check_quick():
     assert "FAIL" not in out
 
 
-def test_usage_errors_exit_2():
+def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["homology", "--complex", "nosuch", "--p", "3", "--n", "4"])
     assert exc.value.code == 2
@@ -107,6 +107,14 @@ def test_usage_errors_exit_2():
     # domain errors are reported as usage problems, not tracebacks
     code, _ = invoke(["build", "--complex", "pcycle", "--p", "4", "--n", "6"])
     assert code == 2
+    for argv in (
+        *(["build", "--complex", kind, "--p", "3", "--n", "-2"] for kind in KINDS),
+        ["formula", "euler-poincare", "--p", "3", "--n", "-1"],
+    ):
+        capsys.readouterr()
+        code, out = invoke(argv)
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == "error: n must be nonnegative\n"
 
 
 def test_size_guard_requires_allow_large():
@@ -181,34 +189,16 @@ def test_truncated_cache_entry_is_rebuilt(tmp_path):
 
 def test_cache_dir_does_not_leak_into_the_next_run(tmp_path, monkeypatch):
     monkeypatch.delenv("EQUIHOM_CACHE_DIR", raising=False)
-    monkeypatch.setattr(characters, "_memory_tables", {})
+    entry = "matching_p3_n4_v2.complex"
     code, _ = invoke(["--cache-dir", str(tmp_path), "equivariant", "--complex",
                       "matching", "--p", "3", "--n", "4"])
-    assert code == 0 and "character_table_4.json" in os.listdir(tmp_path)
+    assert code == 0 and os.listdir(tmp_path) == [entry]
     code, _ = invoke(["equivariant", "--complex", "matching", "--p", "3", "--n", "5"])
-    assert code == 0 and "character_table_5.json" not in os.listdir(tmp_path)
-    # nor into library calls made after run() returns
-    invoke(["--cache-dir", str(tmp_path), "formula", "fp", "--p", "3"])
-    characters.character_table(6)
-    assert "character_table_6.json" not in os.listdir(tmp_path)
-
-
-def test_tampered_character_table_is_recomputed(tmp_path, monkeypatch):
-    argv = ["--cache-dir", str(tmp_path), "equivariant", "--complex", "matching",
-            "--p", "3", "--n", "7"]
-    monkeypatch.setattr(characters, "_memory_tables", {})
-    code, fresh = invoke(argv)
-    assert code == 0
-    path = tmp_path / "character_table_7.json"
-    good = path.read_text()
-    data = json.loads(good)
-    entry = next(e for e in data["table"][1]["values"] if e["mu"] != [1] * 7)
-    entry["chi"] += 1
-    path.write_text(json.dumps(data))
-    monkeypatch.setattr(characters, "_memory_tables", {})
-    code, out = invoke(argv)
-    assert code == 0 and out == fresh
-    assert path.read_text() == good
+    assert code == 0 and os.listdir(tmp_path) == [entry]
+    # character tables are computed, never written to disk
+    characters.character_table.cache_clear()
+    code, _ = invoke(["--cache-dir", str(tmp_path), "cross-check", "--quick"])
+    assert code == 0 and os.listdir(tmp_path) == [entry]
 
 
 @pytest.mark.parametrize(
@@ -239,6 +229,16 @@ def test_internal_errors_exit_3(monkeypatch, capsys, error):
     code, out = invoke(["equivariant", "--complex", "matching", "--p", "3", "--n", "4"])
     assert code == 3 and out == ""
     assert capsys.readouterr().err.startswith("internal error: ")
+
+
+def test_memory_error_exits_3(monkeypatch, capsys):
+    def exhausted(p, n):
+        raise MemoryError("boundary matrix")
+
+    monkeypatch.setattr(cli, "matching_complex", exhausted)
+    code, out = invoke(["build", "--complex", "matching", "--p", "3", "--n", "4"])
+    assert code == 3 and out == ""
+    assert capsys.readouterr().err == "internal error: MemoryError: boundary matrix\n"
 
 
 def test_parser_prog_name():

@@ -140,6 +140,8 @@ def test_euler_poincare_examples():
     assert euler_poincare_character(3, 6) == -s((4, 2))
     assert euler_poincare_character(5, 3) == from_h(3)
     assert euler_poincare_character(7, 2) == from_h(2)
+    with pytest.raises(ValueError):
+        euler_poincare_character(3, -1)
 
 
 def test_vanishing_floor():
