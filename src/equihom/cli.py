@@ -185,6 +185,8 @@ def _cmd_homology(args, out):
 
 def _cmd_equivariant(args, out):
     cx = _build_complex(args)
+    if args.degree is not None and not -1 <= args.degree <= cx.dim:
+        raise ValueError(f"degree {args.degree} out of range -1..{cx.dim}")
     decomp = equivariant_decomposition(cx)
     data = decomp.to_json()
     if args.degree is not None:

@@ -3,13 +3,16 @@
 Rows are dicts {column: int}.  Elimination is fraction free: a target row is
 replaced by an integer combination of itself and the pivot row, then divided
 by the gcd of its entries, so coefficients stay small on incidence-type
-matrices.  Pivots are chosen Markowitz-style (sparsest active column, then
-sparsest row in it) with deterministic (row, column) tie-breaks.
+matrices.  Pivots are chosen Markowitz-style: the pivot column has the fewest
+active rows, found through a bucket queue of columns keyed by that count, and
+the pivot row is its active row with the fewest entries, lowest index first.
+Columns of equal count come in set iteration order, which for int keys
+follows from the insertions and deletions alone, not from PYTHONHASHSEED, so
+the pivots are deterministic.
 """
 
 from __future__ import annotations
 
-import heapq
 from fractions import Fraction
 from math import gcd
 
@@ -108,36 +111,49 @@ def eliminate(matrix: SparseMatrix, full: bool = False) -> Elimination:
         for j in row:
             col_rows.setdefault(j, set()).add(i)
     active = [bool(row) for row in rows]
-    # count of active rows per column, kept current; stale heap entries are
-    # skipped on pop
+    # bucket queue: by_count[k] holds the columns with exactly k active rows,
+    # and no column with a positive count sits below by_count[low]
     col_count = {j: len(s) for j, s in col_rows.items()}
-    heap = [(cnt, j) for j, cnt in col_count.items()]
-    heapq.heapify(heap)
+    by_count = [set() for _ in range(max(col_count.values(), default=0) + 1)]
+    for j, cnt in col_count.items():
+        by_count[cnt].add(j)
+    low = 1
     pivots = []
+
+    def shift(j, step):
+        nonlocal low
+        cnt = col_count.get(j, 0)
+        by_count[cnt].discard(j)
+        cnt += step
+        if cnt == len(by_count):
+            by_count.append(set())
+        by_count[cnt].add(j)
+        col_count[j] = cnt
+        if 0 < cnt < low:
+            low = cnt
 
     def deactivate(i):
         if active[i]:
             active[i] = False
             for j in rows[i]:
-                col_count[j] -= 1
-                heapq.heappush(heap, (col_count[j], j))
+                shift(j, -1)
 
     def add_entry(i, j):
         col_rows.setdefault(j, set()).add(i)
         if active[i]:
-            col_count[j] = col_count.get(j, 0) + 1
-            heapq.heappush(heap, (col_count[j], j))
+            shift(j, 1)
 
     def drop_entry(i, j):
         col_rows[j].discard(i)
         if active[i]:
-            col_count[j] -= 1
-            heapq.heappush(heap, (col_count[j], j))
+            shift(j, -1)
 
-    while heap:
-        cnt, c = heapq.heappop(heap)
-        if col_count.get(c, 0) != cnt or cnt == 0:
-            continue
+    while True:
+        while low < len(by_count) and not by_count[low]:
+            low += 1
+        if low == len(by_count):
+            break
+        c = next(iter(by_count[low]))
         r = min(
             (i for i in col_rows[c] if active[i]),
             key=lambda i: (len(rows[i]), i),

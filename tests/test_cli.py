@@ -97,7 +97,7 @@ def test_cross_check_quick():
     assert "FAIL" not in out
 
 
-def test_usage_errors_exit_2(capsys):
+def test_usage_errors_exit_2(capsys, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         run(["homology", "--complex", "nosuch", "--p", "3", "--n", "4"])
     assert exc.value.code == 2
@@ -107,14 +107,23 @@ def test_usage_errors_exit_2(capsys):
     # domain errors are reported as usage problems, not tracebacks
     code, _ = invoke(["build", "--complex", "pcycle", "--p", "4", "--n", "6"])
     assert code == 2
-    for argv in (
-        *(["build", "--complex", kind, "--p", "3", "--n", "-2"] for kind in KINDS),
-        ["formula", "euler-poincare", "--p", "3", "--n", "-1"],
+    negative_n = "error: n must be nonnegative\n"
+    # an out-of-range degree is refused before any homology is computed
+    monkeypatch.setattr(
+        cli, "equivariant_decomposition", lambda cx: pytest.fail("decomposed")
+    )
+    for argv, err in (
+        *((["build", "--complex", kind, "--p", "3", "--n", "-2"], negative_n)
+          for kind in KINDS),
+        (["formula", "euler-poincare", "--p", "3", "--n", "-1"], negative_n),
+        *((["equivariant", "--complex", "matching", "--p", "3", "--n", "5",
+            "--degree", degree], f"error: degree {degree} out of range -1..0\n")
+          for degree in ("7", "-2")),
     ):
         capsys.readouterr()
         code, out = invoke(argv)
         assert code == 2 and out == ""
-        assert capsys.readouterr().err == "error: n must be nonnegative\n"
+        assert capsys.readouterr().err == err
 
 
 def test_size_guard_requires_allow_large():

@@ -237,11 +237,15 @@ def test_graph_matching_closed_form(decomposition_cache):
             assert dec.characteristic(i) == graph_matching_homology(n, i + 1), (n, i)
 
 
-def _dense_solve(columns, target, size):
-    """Coordinates of target in the span of columns (lists of Fractions)."""
+def _dense_solve(columns, targets, size):
+    """Coordinates of each target in the span of columns, from one dense
+    Fraction elimination with the targets as augmented columns."""
     m = len(columns)
-    rows = [[col.get(i, Fraction(0)) for col in columns] + [target.get(i, Fraction(0))]
-            for i in range(size)]
+    rows = [
+        [col.get(i, Fraction(0)) for col in columns]
+        + [t.get(i, Fraction(0)) for t in targets]
+        for i in range(size)
+    ]
     piv_rows = []
     rank = 0
     for c in range(m):
@@ -257,12 +261,15 @@ def _dense_solve(columns, target, size):
                 rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
         piv_rows.append(c)
         rank += 1
-    for r in range(rank, size):
-        assert rows[r][m] == 0, "target outside the span"
-    coords = [Fraction(0)] * m
-    for k, c in enumerate(piv_rows):
-        coords[c] = rows[k][m]
-    return coords
+    solutions = []
+    for t in range(len(targets)):
+        for r in range(rank, size):
+            assert rows[r][m + t] == 0, ("target outside the span", t)
+        coords = [Fraction(0)] * m
+        for k, c in enumerate(piv_rows):
+            coords[c] = rows[k][m + t]
+        solutions.append(coords)
+    return solutions
 
 
 def test_equivariant_traces_against_explicit_basis_solving():
@@ -293,20 +300,21 @@ def test_equivariant_traces_against_explicit_basis_solving():
         basis = [
             {r: Fraction(v) for r, v in col.items()} for col in boundary_cols
         ] + [dict(vec) for vec in reps]
-        b = len(reps)
         values = {}
         for mu in partitions_of(n):
             sigma = representative(mu)
             perm = cx.action.vertex_permutation(cx, sigma)
-            trace = Fraction(0)
-            for j, vec in enumerate(reps):
+            moved_reps = []
+            for vec in reps:
                 moved = {}
                 for face_idx, coeff in vec.items():
                     g, sign = cx.face_image(perm, faces[face_idx])
                     moved[idx[g]] = moved.get(idx[g], Fraction(0)) + sign * coeff
-                coords = _dense_solve(basis, moved, len(faces))
-                trace += coords[len(boundary_cols) + j]
-            values[mu] = trace
+                moved_reps.append(moved)
+            solutions = _dense_solve(basis, moved_reps, len(faces))
+            values[mu] = sum(
+                coords[len(boundary_cols) + j] for j, coords in enumerate(solutions)
+            )
         # compare with the production path
         dec = equivariant_decomposition(cx)
         table = character_table(n)
@@ -488,3 +496,72 @@ def _dense_rank(rows):
                 rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
         rank += 1
     return rank
+
+
+def _random_sparse(rng, nr, nc):
+    """Columns with an equal number k of nonzeros (as in boundary matrices),
+    plus some rows that are combinations of others, so that elimination
+    meets ties in the column counts, fill-in and a rank deficit."""
+    k = rng.randint(1, min(3, nr))
+    dense = [[0] * nc for _ in range(nr)]
+    for j in range(nc):
+        for i in rng.sample(range(nr), k):
+            dense[i][j] = rng.choice([-2, -1, 1, 2])
+    if nr >= 3:
+        for _ in range(rng.randint(0, nr // 3)):
+            a, b, t = rng.sample(range(nr), 3)
+            x, y = rng.choice([-2, -1, 1, 3]), rng.choice([-1, 1, 2])
+            dense[t] = [x * u + y * v for u, v in zip(dense[a], dense[b])]
+    return dense
+
+
+def test_elimination_oracle_on_random_sparse_matrices():
+    import random
+
+    rng = random.Random(12)
+    for trial in range(60):
+        nr, nc = rng.randint(1, 30), rng.randint(1, 40)
+        dense = _random_sparse(rng, nr, nc)
+        mat = SparseMatrix(
+            nr, nc, [{j: v for j, v in enumerate(row) if v} for row in dense]
+        )
+        rank = _dense_rank(dense)
+        assert eliminate(mat).rank == rank, trial
+        full = eliminate(mat, full=True)
+        assert full.rank == rank, trial
+        assert len({r for r, _ in full.pivots}) == len({c for _, c in full.pivots}) == rank
+        for r, c in full.pivots:
+            assert [i for i, row in enumerate(full.rows) if row.get(c)] == [r], trial
+        kernel = full.nullspace()
+        assert len(kernel) == nc - rank, trial
+        for vec in kernel:
+            assert mat.mul_vector(vec) == {}, trial
+
+
+def test_elimination_does_not_depend_on_the_hash_seed():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import equihom
+
+    script = (
+        "from equihom.complexes import matching_complex\n"
+        "from equihom.homology import boundary_matrix\n"
+        "from equihom.linalg import eliminate\n"
+        "e = eliminate(boundary_matrix(matching_complex(3, 9), 2), full=True)\n"
+        "print(e.pivots)\n"
+        "print([sorted(row.items()) for row in e.rows])\n"
+    )
+    src = str(Path(equihom.__file__).resolve().parents[1])
+    outputs = []
+    for seed in ("0", "12345"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True,
+            text=True, timeout=60, check=True,
+        )
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count("\n") == 2
